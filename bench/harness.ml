@@ -1,12 +1,10 @@
 (* Shared machinery for the experiment harness: instance construction,
-   instrumented evaluation loops (walk time vs query-evaluation time), and
+   evaluation loops under experiment-specific stopping rules, and
    ground-truth estimation.
 
-   Timing goes through lib/obs: the per-call walk/query spans printed by the
-   experiments are measured with Obs.Timer, and when metrics collection is
-   on (bench/main.exe --metrics-out) the same spans also feed the shared
-   "eval.*" counters that Core.Evaluator uses, so a snapshot covers runs
-   driven by this harness's stopping rule too. *)
+   Every loop here runs on Core.Sampler, so the walk/query split the
+   experiments print is the sampler's, and with metrics on (bench/main.exe
+   --metrics-out) the same steps feed the sampler's "eval.*" counters. *)
 
 open Core
 
@@ -52,91 +50,26 @@ type timed_run = {
   final_error : float;
 }
 
-(* Instrumented evaluation: like Evaluator.evaluate but separately accounting
-   walk and query time, and stopping once the squared error against [truth]
-   halves (or [max_samples] is reached). *)
-let m_full_query_count = Obs.Metrics.counter "eval.full_query_count"
-let m_full_query_ns = Obs.Metrics.counter "eval.full_query_ns"
-let m_maintain_count = Obs.Metrics.counter "eval.maintain_count"
-let m_maintain_ns = Obs.Metrics.counter "eval.maintain_ns"
-let m_view_build_ns = Obs.Metrics.counter "eval.view_build_ns"
-let m_delta_rows = Obs.Metrics.counter "eval.delta_rows"
-let m_delta_size = Obs.Metrics.histogram "eval.delta_size"
-let m_samples = Obs.Metrics.counter "eval.samples"
-let m_walk_ns = Obs.Metrics.counter "harness.walk_ns"
-
-let record_delta d =
-  if Obs.Metrics.enabled () then begin
-    let rows = Relational.Delta.total_magnitude d in
-    Obs.Metrics.add m_delta_rows rows;
-    Obs.Metrics.observe m_delta_size rows
-  end
-
+(* Evaluation until the squared error against [truth] halves (or
+   [max_samples] is reached): a Core.Sampler loop under that stopping
+   rule, reporting the sampler's walk/query split. *)
 let run_until_half_error strategy inst ~query ~thin ~truth ~max_samples =
-  let world = Pdb.world inst.pdb in
-  let db = Pdb.db inst.pdb in
-  let marginals = Marginals.create () in
-  let walk_ns = ref 0 and query_ns = ref 0 in
-  (* Accumulate the span into a local total (for this run's report) and,
-     when collection is on, into the shared metric [c]. *)
-  let timed acc c f =
-    let t0 = Obs.Timer.start () in
-    let x = f () in
-    let dt = Obs.Timer.elapsed_ns t0 in
-    acc := !acc + dt;
-    Obs.Metrics.add c dt;
-    x
-  in
-  ignore (World.drain_delta world : Relational.Delta.t);
-  let view = ref None in
-  let observe () =
-    Obs.Metrics.incr m_samples;
-    match strategy with
-    | Evaluator.Naive ->
-      record_delta (World.drain_delta world);
-      let bag =
-        timed query_ns m_full_query_ns (fun () ->
-            (Relational.Eval.eval db query).Relational.Eval.bag)
-      in
-      Obs.Metrics.incr m_full_query_count;
-      Marginals.observe marginals bag
-    | Evaluator.Materialized ->
-      let bag =
-        match !view with
-        | None ->
-          timed query_ns m_view_build_ns (fun () ->
-              let v = Relational.View.create db query in
-              view := Some v;
-              Relational.View.result v)
-        | Some v ->
-          let delta = World.drain_delta world in
-          record_delta delta;
-          let bag =
-            timed query_ns m_maintain_ns (fun () ->
-                Relational.View.update v delta;
-                Relational.View.result v)
-          in
-          Obs.Metrics.incr m_maintain_count;
-          bag
-      in
-      Marginals.observe marginals bag
-  in
   let started = Obs.Timer.start () in
-  observe ();
+  let s = Sampler.create inst.pdb in
+  let marginals =
+    Sampler.add s ~id:0 ~cache:(Relational.View.cache_create ()) strategy query
+  in
   let initial_error = Marginals.squared_error_to ~reference:truth marginals in
   let threshold = initial_error /. 2. in
   let err = ref initial_error in
-  let samples = ref 0 in
-  while !err > threshold && !samples < max_samples do
-    timed walk_ns m_walk_ns (fun () -> Pdb.walk inst.pdb ~steps:thin);
-    observe ();
-    incr samples;
+  while !err > threshold && Sampler.samples s < max_samples do
+    ignore (Sampler.step s ~thin : Relational.Delta.t);
     err := Marginals.squared_error_to ~reference:truth marginals
   done;
   { total_s = Obs.Timer.seconds (Obs.Timer.elapsed_ns started);
-    query_s = Obs.Timer.seconds !query_ns;
-    walk_s = Obs.Timer.seconds !walk_ns;
-    samples_used = !samples;
+    query_s = Obs.Timer.seconds (Sampler.query_ns s);
+    walk_s = Obs.Timer.seconds (Sampler.walk_ns s);
+    samples_used = Sampler.samples s;
     initial_error;
     final_error = !err }
 

@@ -1,5 +1,3 @@
-open Relational
-
 type report = {
   marginals : Marginals.t;
   final_thin : int;
@@ -10,55 +8,23 @@ type report = {
 
 let evaluate ?(strategy = Evaluator.Materialized) ?(k_min = 50) ?(k_max = 50_000)
     ?(target_overhead = 0.25) ?(initial_thin = 1_000) pdb ~query ~samples =
-  let world = Pdb.world pdb in
-  let db = Pdb.db pdb in
-  let marginals = Marginals.create () in
-  let walk_s = ref 0. and query_s = ref 0. in
-  (* Spans come from Obs.Timer's never-decreasing clock: a backwards wall
-     clock step can no longer produce negative walk_s/query_s and mis-tune
-     the thinning controller below. *)
-  let timed acc f =
-    let t0 = Obs.Timer.start () in
-    let x = f () in
-    acc := !acc +. Obs.Timer.seconds (Obs.Timer.elapsed_ns t0);
-    x
-  in
-  ignore (World.drain_delta world : Delta.t);
-  let view =
-    match strategy with
-    | Evaluator.Materialized -> Some (View.create db query)
-    | Evaluator.Naive -> None
-  in
-  let observe () =
-    let bag =
-      timed query_s (fun () ->
-          match view with
-          | Some v ->
-            View.update v (World.drain_delta world);
-            View.result v
-          | None ->
-            ignore (World.drain_delta world : Delta.t);
-            (Eval.eval db query).Eval.bag)
-    in
-    Marginals.observe marginals bag
-  in
-  (match view with
-  | Some v -> Marginals.observe marginals (View.result v)
-  | None -> Marginals.observe marginals (Eval.eval db query).Eval.bag);
+  let s = Sampler.create pdb in
+  let marginals = Sampler.add s ~id:0 ~cache:(Relational.View.cache_create ()) strategy query in
   let thin = ref initial_thin in
   let trajectory = ref [ (0, !thin) ] in
-  let window_walk = ref 0. and window_query = ref 0. and window_steps = ref 0 in
+  (* Window start: the sampler's walk/query totals and the MH steps taken
+     since the last re-tune. *)
+  let walk0 = ref (Sampler.walk_ns s) and query0 = ref (Sampler.query_ns s) in
+  let window_steps = ref 0 in
   for i = 1 to samples do
-    let w0 = !walk_s and q0 = !query_s in
-    timed walk_s (fun () -> Pdb.walk pdb ~steps:!thin);
-    observe ();
-    window_walk := !window_walk +. (!walk_s -. w0);
-    window_query := !window_query +. (!query_s -. q0);
+    ignore (Sampler.step s ~thin:!thin : Relational.Delta.t);
     window_steps := !window_steps + !thin;
     if i mod 10 = 0 && !window_steps > 0 then begin
       (* Per-step walk cost and per-sample query cost over the window. *)
-      let walk_per_step = !window_walk /. float_of_int !window_steps in
-      let query_per_sample = !window_query /. 10. in
+      let walk_per_step =
+        float_of_int (Sampler.walk_ns s - !walk0) /. float_of_int !window_steps
+      in
+      let query_per_sample = float_of_int (Sampler.query_ns s - !query0) /. 10. in
       if walk_per_step > 0. then begin
         (* Choose k so query cost ≈ target_overhead × (k · walk cost):
            k* = query / (target · walk). Damp the update geometrically. *)
@@ -72,10 +38,11 @@ let evaluate ?(strategy = Evaluator.Materialized) ?(k_min = 50) ?(k_max = 50_000
           trajectory := (i, next) :: !trajectory
         end
       end;
-      window_walk := 0.;
-      window_query := 0.;
+      walk0 := Sampler.walk_ns s;
+      query0 := Sampler.query_ns s;
       window_steps := 0
     end
   done;
   { marginals; final_thin = !thin; thin_trajectory = List.rev !trajectory;
-    walk_s = !walk_s; query_s = !query_s }
+    walk_s = Obs.Timer.seconds (Sampler.walk_ns s);
+    query_s = Obs.Timer.seconds (Sampler.query_ns s) }

@@ -6,14 +6,16 @@
     that query-evaluation overhead stays a fixed fraction of total time:
     cheap views ⇒ small k (more samples); expensive queries ⇒ large k
     (better samples). k is clamped to [k_min, k_max] and adapts by damped
-    multiplicative updates. *)
+    multiplicative updates. The costs are the {!Sampler}'s walk/query
+    totals; with [k_min = k_max = initial_thin] the run is
+    sample-path identical to {!Evaluator.evaluate} at that thinning. *)
 
 type report = {
   marginals : Marginals.t;
   final_thin : int;
   thin_trajectory : (int * int) list;  (** (sample index, k) at each re-tune *)
-  walk_s : float;
-  query_s : float;
+  walk_s : float;  (** the {!Sampler}'s walk total *)
+  query_s : float;  (** the {!Sampler}'s query total, bootstrap included *)
 }
 
 val evaluate :

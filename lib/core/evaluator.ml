@@ -1,6 +1,4 @@
-open Relational
-
-type strategy = Naive | Materialized
+type strategy = Sampler.strategy = Naive | Materialized
 
 type progress = {
   sample : int;
@@ -8,104 +6,25 @@ type progress = {
   marginals : Marginals.t;
 }
 
-let strategy_name = function Naive -> "naive" | Materialized -> "materialized"
-
-(* Observability (docs/OBSERVABILITY.md): the evaluation-side cost split of
-   Fig 4a. Algorithm 3 pays "eval.full_query_ns" per sampled world;
-   Algorithm 1 pays "eval.view_build_ns" once plus "eval.maintain_ns" per
-   sampled world, driven by deltas whose cardinality is recorded both as a
-   running total ("eval.delta_rows") and as a distribution
-   ("eval.delta_size"). The counters are shared by name with
-   bench/harness.ml, which runs the same loops under its own stopping
-   rule. *)
-let m_samples = Obs.Metrics.counter "eval.samples"
-let m_full_query_count = Obs.Metrics.counter "eval.full_query_count"
-let m_full_query_ns = Obs.Metrics.counter "eval.full_query_ns"
-let m_maintain_count = Obs.Metrics.counter "eval.maintain_count"
-let m_maintain_ns = Obs.Metrics.counter "eval.maintain_ns"
-let m_view_build_ns = Obs.Metrics.counter "eval.view_build_ns"
-let m_delta_rows = Obs.Metrics.counter "eval.delta_rows"
-let m_delta_size = Obs.Metrics.histogram "eval.delta_size"
-let m_table_rows = Obs.Metrics.gauge "eval.table_rows"
-
-let record_table_rows db =
-  if Obs.Metrics.enabled () then
-    Obs.Metrics.set_gauge m_table_rows
-      (float_of_int
-         (List.fold_left
-            (fun acc t -> acc + Bag.distinct_cardinal (Table.rows t))
-            0 (Database.tables db)))
-
-let record_delta d =
-  if Obs.Metrics.enabled () then begin
-    let rows = Delta.total_magnitude d in
-    Obs.Metrics.add m_delta_rows rows;
-    Obs.Metrics.observe m_delta_size rows;
-    rows
-  end
-  else 0
-
-let trace_sample strategy sample delta_rows =
-  if Obs.Trace.enabled () then
-    Obs.Trace.emit
-      ~args:
-        [ ("strategy", strategy_name strategy);
-          ("sample", string_of_int sample);
-          ("delta_rows", string_of_int delta_rows) ]
-      "eval.sample"
+let strategy_name = Sampler.strategy_name
 
 let evaluate ?on_sample ?(burn_in = 0) strategy pdb ~query ~thin ~samples =
-  let world = Pdb.world pdb in
-  let db = Pdb.db pdb in
-  let marginals = Marginals.create () in
   let started = Obs.Timer.start () in
+  if burn_in > 0 then Pdb.walk pdb ~steps:burn_in;
+  let s = Sampler.create pdb in
+  let marginals = Sampler.add s ~id:0 ~cache:(Relational.View.cache_create ()) strategy query in
   let notify sample =
     match on_sample with
     | None -> ()
     | Some f ->
       f { sample; elapsed = Obs.Timer.seconds (Obs.Timer.elapsed_ns started); marginals }
   in
-  record_table_rows db;
-  if burn_in > 0 then Pdb.walk pdb ~steps:burn_in;
-  (* Updates recorded before evaluation starts (and burn-in) belong to no
-     sample. *)
-  ignore (World.drain_delta world : Delta.t);
-  (match strategy with
-  | Naive ->
-    Marginals.observe marginals
-      (Obs.Timer.record m_full_query_ns (fun () -> Eval.eval db query)).Eval.bag;
-    Obs.Metrics.incr m_full_query_count;
-    Obs.Metrics.incr m_samples;
-    notify 0;
-    for i = 1 to samples do
-      Pdb.walk pdb ~steps:thin;
-      (* The naive evaluator ignores the deltas — it pays for a full query
-         execution on every sampled world. *)
-      let dr = record_delta (World.drain_delta world) in
-      Marginals.observe marginals
-        (Obs.Timer.record m_full_query_ns (fun () -> Eval.eval db query)).Eval.bag;
-      Obs.Metrics.incr m_full_query_count;
-      Obs.Metrics.incr m_samples;
-      trace_sample strategy i dr;
-      notify i
-    done
-  | Materialized ->
-    let view = Obs.Timer.record m_view_build_ns (fun () -> View.create db query) in
-    Marginals.observe marginals (View.result view);
-    Obs.Metrics.incr m_samples;
-    notify 0;
-    for i = 1 to samples do
-      Pdb.walk pdb ~steps:thin;
-      let delta = World.drain_delta world in
-      let dr = record_delta delta in
-      Obs.Timer.record m_maintain_ns (fun () -> View.update view delta);
-      Obs.Metrics.incr m_maintain_count;
-      Marginals.observe marginals (View.result view);
-      Obs.Metrics.incr m_samples;
-      trace_sample strategy i dr;
-      notify i
-    done);
+  notify 0;
+  for i = 1 to samples do
+    ignore (Sampler.step s ~thin : Relational.Delta.t);
+    notify i
+  done;
   marginals
 
 let evaluate_sql ?on_sample ?burn_in strategy pdb ~sql ~thin ~samples =
-  evaluate ?on_sample ?burn_in strategy pdb ~query:(Sql.parse sql) ~thin ~samples
+  evaluate ?on_sample ?burn_in strategy pdb ~query:(Relational.Sql.parse sql) ~thin ~samples

@@ -10,9 +10,12 @@
 
     Both observe the initial world as the first sample, then [samples]
     further worlds separated by [thin] MH steps. [burn_in] (default 0) MH
-    steps are taken before the first observation and never counted. *)
+    steps are taken before the first observation and never counted.
 
-type strategy = Naive | Materialized
+    A one-answer {!Sampler} plus a [for] loop: the metrics and trace
+    events are the sampler's. *)
+
+type strategy = Sampler.strategy = Naive | Materialized
 
 type progress = {
   sample : int;  (** 0 is the initial world *)

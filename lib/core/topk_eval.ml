@@ -1,20 +1,14 @@
-open Relational
-
 type result = {
-  ranking : (Row.t * float) list;
+  ranking : (Relational.Row.t * float) list;
   samples_used : int;
   separated : bool;
 }
 
 let evaluate ?(z_score = 1.96) ?(min_samples = 20) ?(max_samples = 2000) pdb ~query ~k ~thin =
-  let world = Pdb.world pdb in
-  let db = Pdb.db pdb in
-  let marginals = Marginals.create () in
-  ignore (World.drain_delta world : Delta.t);
-  let view = View.create db query in
-  Marginals.observe marginals (View.result view);
-  let separated = ref false in
-  let samples = ref 0 in
+  let s = Sampler.create pdb in
+  let marginals =
+    Sampler.add s ~id:0 ~cache:(Relational.View.cache_create ()) Sampler.Materialized query
+  in
   let check () =
     (* The ranking is stable when the k-th tuple's lower bound clears the
        (k+1)-th tuple's upper bound. Fewer than k+1 candidates: stable once
@@ -31,11 +25,11 @@ let evaluate ?(z_score = 1.96) ?(min_samples = 20) ?(max_samples = 2000) pdb ~qu
       lo > hi
     | _ -> false
   in
-  while (not !separated) && !samples < max_samples do
-    Pdb.walk pdb ~steps:thin;
-    View.update view (World.drain_delta world);
-    Marginals.observe marginals (View.result view);
-    incr samples;
-    if !samples >= min_samples && !samples mod 10 = 0 then separated := check ()
+  let separated = ref false in
+  while (not !separated) && Sampler.samples s < max_samples do
+    ignore (Sampler.step s ~thin : Relational.Delta.t);
+    let n = Sampler.samples s in
+    if n >= min_samples && n mod 10 = 0 then separated := check ()
   done;
-  { ranking = Confidence.top_k marginals k; samples_used = !samples; separated = !separated }
+  { ranking = Confidence.top_k marginals k; samples_used = Sampler.samples s;
+    separated = !separated }

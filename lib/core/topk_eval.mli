@@ -5,7 +5,7 @@
     costs only a delta maintenance step (Eq. 6), and uses {!Confidence}
     intervals to stop as soon as the ranking is stable.
 
-    Samples with the materialized evaluator and stops early once the k-th
+    Samples with a one-answer materialized {!Sampler} and stops early once the k-th
     and (k+1)-th ranked tuples' Wilson intervals separate — the ranking is
     then stable at the requested confidence, so further sampling is wasted
     work. Interval checks treat thinned samples as independent, the same

@@ -1,3 +1,7 @@
+(* pdb_lint: allow-file R11 — the exact forward–backward truth sampler
+   writes whole label paths itself and has no Pdb chain to step; it drains
+   the write-through delta only to discard it. *)
+
 let evaluate ?on_sample ~rng ~crf ~query ~samples () =
   if Crf.has_skip_edges crf then
     invalid_arg "Generative_eval: the generative sampler requires a linear chain (skip_edges=false)";

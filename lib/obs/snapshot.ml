@@ -9,6 +9,13 @@ let derived reg =
   let fq_ns = c "eval.full_query_ns" and fq_n = c "eval.full_query_count" in
   let m_ns = c "eval.maintain_ns" and m_n = c "eval.maintain_count" in
   let delta_rows = c "eval.delta_rows" in
+  (* One eval.delta_size observation per folded batch: the average is per
+     batch, however many views each batch was folded into. *)
+  let batches =
+    match Metrics.find reg "eval.delta_size" with
+    | Some (Metrics.Histogram { count; _ }) -> count
+    | _ -> 0
+  in
   let avg_full = ratio fq_ns fq_n and avg_maint = ratio m_ns m_n in
   List.filter_map
     (fun (name, v) -> Option.map (fun v -> (name, v)) v)
@@ -19,7 +26,7 @@ let derived reg =
         match (avg_full, avg_maint) with
         | Some f, Some m when m > 0. -> Some (f /. m)
         | _ -> None );
-      ("eval.avg_delta_rows", ratio delta_rows m_n) ]
+      ("eval.avg_delta_rows", ratio delta_rows batches) ]
 
 let hist_json (h : Metrics.value) =
   match h with

@@ -36,7 +36,8 @@ val derived : Metrics.t -> (string * float) list
     - ["eval.avg_maintain_ns"] — [eval.maintain_ns / eval.maintain_count];
     - ["eval.materialized_speedup"] — avg full query / avg maintain, the
       per-step Fig 4a ratio (≥ 10 at default scale on this workload);
-    - ["eval.avg_delta_rows"] — [eval.delta_rows / eval.maintain_count]. *)
+    - ["eval.avg_delta_rows"] — [eval.delta_rows] per folded batch (the
+      [eval.delta_size] histogram count). *)
 
 val to_json : ?meta:(string * string) list -> Metrics.t -> string
 (** Render the registry (plus optional metadata strings) as a JSON

@@ -19,25 +19,26 @@ type durability = {
 let chain_path d chain = Filename.concat d.dir (Printf.sprintf "chain-%d.ckpt" chain)
 let wal_path d chain = Filename.concat d.dir (Printf.sprintf "chain-%d.wal" chain)
 
+(* One chain's fresh start: burn in, then a registry with every query
+   registered in order. Registry.create discards the burn-in delta —
+   those updates are already part of the state the views bootstrap from. *)
+let fresh ~burn_in ~queries pdb =
+  if burn_in > 0 then Core.Pdb.walk pdb ~steps:burn_in;
+  let reg = Registry.create pdb in
+  List.iter (fun (name, q) -> ignore (Registry.register ~name reg q : Registry.query_id)) queries;
+  reg
+
+let run_chain ~burn_in ~queries ~thin ~samples pdb =
+  let reg = fresh ~burn_in ~queries pdb in
+  Registry.run reg ~thin ~samples;
+  reg
+
 let evaluate ?(burn_in = 0) ?durability ~chains ~make ~queries ~thin ~samples () =
-  (* Fresh-start path for one chain: build, burn in, register everything. *)
-  let fresh i =
-    let pdb = make ~chain:i in
-    if burn_in > 0 then Core.Pdb.walk pdb ~steps:burn_in;
-    (* Registry.create discards the burn-in delta — those updates are
-       already part of the state the views bootstrap from. *)
-    let reg = Registry.create pdb in
-    List.iter (fun (name, q) -> ignore (Registry.register ~name reg q : Registry.query_id)) queries;
-    reg
-  in
-  let run_plain i =
-    let reg = fresh i in
-    Registry.run reg ~thin ~samples;
-    reg
-  in
+  let fresh i = fresh ~burn_in ~queries (make ~chain:i) in
   let per_chain =
     match durability with
-    | None -> Mcmc.Parallel.map ~n:chains run_plain
+    | None ->
+        Mcmc.Parallel.map ~n:chains (fun i -> run_chain ~burn_in ~queries ~thin ~samples (make ~chain:i))
     | Some d ->
         if d.every < 0 then invalid_arg "Serve.Pool: negative checkpoint interval";
         (* attempts.(i) > 0 marks a supervised restart: the retried job must

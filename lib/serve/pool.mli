@@ -67,6 +67,16 @@ type durability = {
   wal : wal option;  (** [Some _] switches to delta-log durability *)
 }
 
+val run_chain :
+  burn_in:int ->
+  queries:(string * Relational.Algebra.t) list ->
+  thin:int ->
+  samples:int ->
+  Core.Pdb.t ->
+  Registry.t
+(** One chain: burn in, register every query in order, take [samples]
+    steps — {!evaluate}'s non-durable job, and {!Shard.evaluate}'s. *)
+
 val evaluate :
   ?burn_in:int ->
   ?durability:durability ->

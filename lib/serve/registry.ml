@@ -23,55 +23,40 @@ type query_id = int
 let id_to_int id = id
 let id_of_int id = id
 
-type entry = {
-  id : query_id;
-  name : string;
-  view : View.t;
-  marginals : Core.Marginals.t;
-}
-
 module IT = Hashtbl.Make (Int)
 
-(* [entries] gives O(1) find/insert/remove/count; [rev_order] preserves
-   registration order (newest first — registration prepends in O(1), the
-   ordered read side reverses). Every view is compiled over the one
-   [cache], so structurally-equal subplans across queries resolve to
-   shared nodes maintained once per delta batch. *)
+(* The sample loop, the answer order and the views live in [sampler]
+   (one Core.Sampler answer per query, keyed by query id); the registry
+   adds names, the optimizer, the WAL journal and snapshots. Every view is
+   compiled over the one [cache], so structurally-equal subplans across
+   queries resolve to shared nodes maintained once per delta batch. *)
 type t = {
-  pdb : Core.Pdb.t;
-  entries : entry IT.t;
-  mutable rev_order : query_id list;
+  sampler : Core.Sampler.t;
+  names : string IT.t;
   cache : View.cache;
   mutable next_id : int;
-  mutable samples : int;
+  base_samples : int;  (* samples already taken by the state this registry was restored from *)
   mutable journal : (Checkpoint.Wal.record -> unit) option;
 }
 
+let query_count t = Core.Sampler.count t.sampler
+
 let record_queries t =
   if Obs.Metrics.enabled () then begin
-    Obs.Metrics.set_gauge m_queries (float_of_int (IT.length t.entries));
+    Obs.Metrics.set_gauge m_queries (float_of_int (query_count t));
     Obs.Metrics.set_gauge m_shared_nodes (float_of_int (View.cache_shared t.cache))
   end
 
-(* Registered entries in registration order ([rev_order] is newest-first,
-   so one rev_map both maps and restores the order). *)
-let in_order t =
-  List.rev_map
-    (fun id -> match IT.find_opt t.entries id with Some e -> e | None -> assert false)
-    t.rev_order
-
-let iter_entries t f = List.iter f (in_order t)
+let make sampler ~next_id ~base_samples =
+  { sampler; names = IT.create 64; cache = View.cache_create (); next_id; base_samples;
+    journal = None }
 
 let create pdb =
-  ignore (Core.World.drain_delta (Core.Pdb.world pdb) : Delta.t);
-  let t =
-    { pdb; entries = IT.create 64; rev_order = []; cache = View.cache_create ();
-      next_id = 0; samples = 0; journal = None }
-  in
+  let t = make (Core.Sampler.create pdb) ~next_id:0 ~base_samples:0 in
   record_queries t;
   t
 
-let pdb t = t.pdb
+let pdb t = Core.Sampler.pdb t.sampler
 let set_journal t sink = t.journal <- Some sink
 let clear_journal t = t.journal <- None
 
@@ -90,23 +75,14 @@ let wal_delta delta =
 
 let emit t record = match t.journal with None -> () | Some sink -> sink record
 
-(* Fold the world's pending delta into every registered view without
-   observing marginals. Called before the registered set changes mid-run:
-   updates recorded since the last sample point are already applied to the
-   database, so a view built now would double-count them if they later
-   arrived through the stream — absorbing them first keeps every view's
-   believed state equal to the database's. Deltas compose, so splitting a
-   sample interval's batch in two leaves each view's answer at the next
-   sample point unchanged. *)
+(* Fold the world's pending delta into every registered view before the
+   registered set changes mid-run (Core.Sampler.absorb). The journaled
+   [Absorb] precedes the event that follows it (usually a [Register]), so
+   replay brings the restored database and views to exactly the state
+   that event was performed under. *)
 let absorb_pending t =
-  let delta = Core.World.drain_delta (Core.Pdb.world t.pdb) in
-  if not (Delta.is_empty delta) then begin
-    (* Journal the drain before applying it: a replayed [Absorb] brings
-       the restored database and views to exactly the state the event
-       that follows it (usually a [Register]) was performed under. *)
-    emit t (Checkpoint.Wal.Absorb { delta = wal_delta delta });
-    iter_entries t (fun e -> View.update e.view delta)
-  end
+  let delta = Core.Sampler.absorb t.sampler in
+  if not (Delta.is_empty delta) then emit t (Checkpoint.Wal.Absorb { delta = wal_delta delta })
 
 (* Normalize once, at registration: syntactic rewrites put equal queries
    in one canonical spelling, then the stats-driven join order picks the
@@ -114,11 +90,16 @@ let absorb_pending t =
    record and the snapshot carry, so replay and restore rebuild the
    identical tree (and the identical cache keys) without consulting
    statistics that may since have drifted. *)
-let compile t algebra = Optimizer.reorder (Core.Pdb.db t.pdb) (Optimizer.optimize algebra)
+let compile t algebra = Optimizer.reorder (Core.Sampler.db t.sampler) (Optimizer.optimize algebra)
 
-let add_entry t e =
-  IT.replace t.entries e.id e;
-  t.rev_order <- e.id :: t.rev_order
+(* Bootstrap a compiled plan: one full evaluation, whose world is the
+   query's first sample (Core.Sampler.add). *)
+let add_query t ~id ~name algebra =
+  ignore
+    (Core.Sampler.add t.sampler ~id ~cache:t.cache Core.Sampler.Materialized algebra
+      : Core.Marginals.t);
+  Obs.Metrics.incr m_bootstrap_evals;
+  IT.replace t.names id name
 
 let register ?name t algebra =
   absorb_pending t;
@@ -126,13 +107,7 @@ let register ?name t algebra =
   t.next_id <- id + 1;
   let name = match name with Some n -> n | None -> Printf.sprintf "q%d" id in
   let algebra = compile t algebra in
-  let view = View.create ~cache:t.cache (Core.Pdb.db t.pdb) algebra in
-  Obs.Metrics.incr m_bootstrap_evals;
-  let marginals = Core.Marginals.create () in
-  (* The world the query was registered under is its first sample, matching
-     Core.Evaluator's sample-0 observation. *)
-  Core.Marginals.observe marginals (View.result view);
-  add_entry t { id; name; view; marginals };
+  add_query t ~id ~name algebra;
   record_queries t;
   emit t (Checkpoint.Wal.Register { id; name; algebra });
   id
@@ -141,59 +116,53 @@ let register_sql ?name t sql =
   let name = match name with Some n -> n | None -> sql in
   register ~name t (Sql.parse sql)
 
-let find t id =
-  match IT.find_opt t.entries id with
-  | Some e -> e
-  | None -> invalid_arg (Printf.sprintf "Serve.Registry: unknown query id %d" id)
+let remove_query t id =
+  let m = Core.Sampler.remove t.sampler id in
+  IT.remove t.names id;
+  m
 
 let unregister t id =
-  let e = find t id in
-  IT.remove t.entries id;
-  t.rev_order <- List.filter (fun i -> not (Int.equal i id)) t.rev_order;
-  View.release t.cache e.view;
+  let m = remove_query t id in
   record_queries t;
   emit t (Checkpoint.Wal.Unregister { id });
-  e.marginals
+  m
 
-let query_count t = IT.length t.entries
-let queries t = List.map (fun e -> (e.id, e.name)) (in_order t)
-let marginals t id = (find t id).marginals
-let samples t = t.samples
+let queries t = List.map (fun id -> (id, IT.find t.names id)) (Core.Sampler.ids t.sampler)
+
+let marginals t id = Core.Sampler.marginals t.sampler id
+
+let samples t = t.base_samples + Core.Sampler.samples t.sampler
 let shared_nodes t = View.cache_shared t.cache
 let cached_nodes t = View.cache_nodes t.cache
 
 let step t ~thin =
-  Core.Pdb.walk t.pdb ~steps:thin;
-  let delta = Core.World.drain_delta (Core.Pdb.world t.pdb) in
-  let ordered = in_order t in
-  Obs.Timer.record m_fanout_ns (fun () ->
-      List.iter
-        (fun e ->
-          View.update e.view delta;
-          Core.Marginals.observe e.marginals (View.result e.view))
-        ordered);
-  t.samples <- t.samples + 1;
+  (* The sampler's query time spans exactly the fan-out: every view's
+     maintenance plus its marginals observation, no walk. *)
+  let q0 = Core.Sampler.query_ns t.sampler in
+  let delta = Core.Sampler.step t.sampler ~thin in
+  Obs.Metrics.add m_fanout_ns (Core.Sampler.query_ns t.sampler - q0);
   Obs.Metrics.incr m_samples;
   (match t.journal with
   | None -> ()
   | Some sink ->
       (* Post-walk counters and generator blob: replay can resume the
          exact trajectory from any record (Wal's contract). *)
-      let stats = Core.Pdb.stats t.pdb in
+      let pdb = pdb t in
+      let stats = Core.Pdb.stats pdb in
       sink
         (Checkpoint.Wal.Sample
            {
-             steps = Core.Pdb.steps_taken t.pdb;
+             steps = Core.Pdb.steps_taken pdb;
              proposed = stats.Mcmc.Metropolis.proposed;
              accepted = stats.Mcmc.Metropolis.accepted;
-             rng = Mcmc.Rng.export (Core.Pdb.rng t.pdb);
+             rng = Mcmc.Rng.export (Core.Pdb.rng pdb);
              delta = wal_delta delta;
            }));
   if Obs.Trace.enabled () then
     Obs.Trace.emit
       ~args:
-        [ ("queries", string_of_int (IT.length t.entries));
-          ("sample", string_of_int t.samples);
+        [ ("queries", string_of_int (query_count t));
+          ("sample", string_of_int (samples t));
           ("delta_rows", string_of_int (Delta.total_magnitude delta)) ]
       "serve.sample"
 
@@ -209,74 +178,52 @@ let snapshot t =
   (* Bring every view up to the database's believed state first, so the
      captured node bags and the captured tables describe the same world. *)
   absorb_pending t;
-  let stats = Core.Pdb.stats t.pdb in
+  let pdb = pdb t in
+  let stats = Core.Pdb.stats pdb in
   {
-    Checkpoint.State.samples = t.samples;
-    steps = Core.Pdb.steps_taken t.pdb;
+    Checkpoint.State.samples = samples t;
+    steps = Core.Pdb.steps_taken pdb;
     proposed = stats.Mcmc.Metropolis.proposed;
     accepted = stats.Mcmc.Metropolis.accepted;
     next_id = t.next_id;
-    rng = Mcmc.Rng.export (Core.Pdb.rng t.pdb);
-    tables = Checkpoint.State.capture_tables (Core.Pdb.db t.pdb);
+    rng = Mcmc.Rng.export (Core.Pdb.rng pdb);
+    tables = Checkpoint.State.capture_tables (Core.Pdb.db pdb);
     queries =
       List.map
-        (fun e ->
+        (fun (id, name) ->
+          let view = Core.Sampler.view t.sampler id and m = Core.Sampler.marginals t.sampler id in
           {
-            Checkpoint.State.q_id = e.id;
-            q_name = e.name;
-            q_algebra = View.algebra e.view;
-            q_counts = Core.Marginals.counts e.marginals;
-            q_z = Core.Marginals.samples e.marginals;
-            q_nodes = List.map Bag.to_list (View.node_states e.view);
+            Checkpoint.State.q_id = id;
+            q_name = name;
+            q_algebra = View.algebra view;
+            q_counts = Core.Marginals.counts m;
+            q_z = Core.Marginals.samples m;
+            q_nodes = List.map Bag.to_list (View.node_states view);
           })
-        (in_order t);
+        (queries t);
   }
+
+let corrupt fmt = Printf.ksprintf (fun msg -> raise (Checkpoint.Codec.Corrupt msg)) fmt
 
 let bag_of_entries entries =
   let b = Bag.create () in
   List.iter (fun (row, count) -> Bag.add ~count b row) entries;
   b
 
-(* Restored entries share one cache exactly like registered ones: each
+(* Restored queries share one cache exactly like registered ones: each
    query's snapshot carries the (identical) bags of any shared node, and
    View.of_states overwrites idempotently, so the shared-plan world comes
    back deterministically from the recorded plans alone. *)
-let restore_entry ~cache db q =
+let restore_query t q =
+  if Core.Sampler.mem t.sampler q.Checkpoint.State.q_id then
+    corrupt "snapshot holds query id %d twice" q.Checkpoint.State.q_id;
   let view =
-    View.of_states ~cache db q.Checkpoint.State.q_algebra
+    View.of_states ~cache:t.cache (Core.Sampler.db t.sampler) q.Checkpoint.State.q_algebra
       (List.map bag_of_entries q.Checkpoint.State.q_nodes)
   in
-  let marginals =
-    Core.Marginals.of_counts ~samples:q.Checkpoint.State.q_z q.Checkpoint.State.q_counts
-  in
-  { id = q.Checkpoint.State.q_id; name = q.Checkpoint.State.q_name; view; marginals }
-
-let restore ~make_pdb snap =
-  let db = Checkpoint.State.restore_db snap.Checkpoint.State.tables in
-  (* The model and proposal read current field values at construction time
-     (label mirrors, variable assignments), so building them over the
-     restored database leaves them consistent with it; importing the
-     generator afterwards makes the resumed walk draw the checkpointed
-     chain's exact trajectory. *)
-  let pdb = make_pdb db in
-  if Core.Pdb.db pdb != db then
-    invalid_arg "Serve.Registry.restore: make_pdb must build over the restored database";
-  Mcmc.Rng.import (Core.Pdb.rng pdb) snap.Checkpoint.State.rng;
-  Core.Pdb.restore_counters pdb ~steps:snap.Checkpoint.State.steps
-    ~proposed:snap.Checkpoint.State.proposed
-    ~accepted:snap.Checkpoint.State.accepted;
-  ignore (Core.World.drain_delta (Core.Pdb.world pdb) : Delta.t);
-  let cache = View.cache_create () in
-  let t =
-    { pdb; entries = IT.create 64; rev_order = []; cache;
-      next_id = snap.Checkpoint.State.next_id; samples = snap.Checkpoint.State.samples;
-      journal = None }
-  in
-  List.iter
-    (fun q -> add_entry t (restore_entry ~cache db q))
-    snap.Checkpoint.State.queries;
-  record_queries t;
-  t
+  Core.Sampler.adopt t.sampler ~id:q.Checkpoint.State.q_id ~cache:t.cache view
+    (Core.Marginals.of_counts ~samples:q.Checkpoint.State.q_z q.Checkpoint.State.q_counts);
+  IT.replace t.names q.Checkpoint.State.q_id q.Checkpoint.State.q_name
 
 (* ---------- WAL replay ---------- *)
 
@@ -303,7 +250,7 @@ let apply_wal_delta db (delta : Checkpoint.Wal.delta) =
         entries)
     delta
 
-(* The same batch as a Delta.t, for the view-maintenance fan-out. *)
+(* The same batch as a Delta.t, for the sampler's fold. *)
 let delta_of_wal (delta : Checkpoint.Wal.delta) =
   let d = Delta.create () in
   List.iter
@@ -323,26 +270,18 @@ let delta_of_wal (delta : Checkpoint.Wal.delta) =
   d
 
 let restore_wal ~make_pdb snap ~base_samples ~records =
-  if base_samples > snap.Checkpoint.State.samples then
-    raise
-      (Checkpoint.Codec.Corrupt
-         (Printf.sprintf
-            "WAL base %d is ahead of snapshot at %d samples — compaction writes the \
-             snapshot before rotating, so the log cannot extend a state the snapshot \
-             has not reached"
-            base_samples snap.Checkpoint.State.samples));
   let snap_samples = snap.Checkpoint.State.samples in
+  if base_samples > snap_samples then
+    corrupt
+      "WAL base %d is ahead of snapshot at %d samples — compaction writes the snapshot \
+       before rotating, so the log cannot extend a state the snapshot has not reached"
+      base_samples snap_samples;
   let db = Checkpoint.State.restore_db snap.Checkpoint.State.tables in
-  let cache = View.cache_create () in
-  let entries = IT.create 64 in
-  let rev_order = ref [] in
-  let add e =
-    IT.replace entries e.id e;
-    rev_order := e.id :: !rev_order
+  let t =
+    make (Core.Sampler.replay db) ~next_id:snap.Checkpoint.State.next_id
+      ~base_samples:snap_samples
   in
-  List.iter (fun q -> add (restore_entry ~cache db q)) snap.Checkpoint.State.queries;
-  let next_id = ref snap.Checkpoint.State.next_id in
-  let samples = ref snap_samples in
+  List.iter (restore_query t) snap.Checkpoint.State.queries;
   (* Running sample ordinal within the log. Records at or below the
      snapshot's sample count are already part of the snapshot (the
      crash-between-snapshot-and-rotation window) and are skipped; see
@@ -354,17 +293,10 @@ let restore_wal ~make_pdb snap ~base_samples ~records =
   let event_live () =
     !seen > snap_samples || (Int.equal !seen snap_samples && Int.equal base_samples snap_samples)
   in
-  let each_entry f =
-    List.iter
-      (fun id -> match IT.find_opt entries id with Some e -> f e | None -> assert false)
-      (List.rev !rev_order)
-  in
-  let fan_out delta ~observe =
+  let replay delta ~observe =
     apply_wal_delta db delta;
-    let d = delta_of_wal delta in
-    each_entry (fun e ->
-        View.update e.view d;
-        if observe then Core.Marginals.observe e.marginals (View.result e.view))
+    Core.Sampler.fold t.sampler ~observe (delta_of_wal delta);
+    Obs.Metrics.incr m_replay
   in
   let last_sample = ref None in
   List.iter
@@ -373,46 +305,37 @@ let restore_wal ~make_pdb snap ~base_samples ~records =
       | Sample { steps; proposed; accepted; rng; delta } ->
           incr seen;
           if !seen > snap_samples then begin
-            fan_out delta ~observe:true;
-            samples := !samples + 1;
-            last_sample := Some (steps, proposed, accepted, rng);
-            Obs.Metrics.incr m_replay
+            replay delta ~observe:true;
+            last_sample := Some (steps, proposed, accepted, rng)
           end
       | Register { id; name; algebra } ->
           if event_live () then begin
+            (* A live registry never reuses an id, so a second Register
+               of a live id can only come from a damaged log. *)
+            if Core.Sampler.mem t.sampler id then
+              corrupt "WAL registers query id %d, which is already registered" id;
             (* Replaying a late registration repeats its bootstrap
                evaluation — the one full-query cost a WAL restore can
                pay, and only for queries registered after the last
                compaction. The record carries the already-compiled plan,
                so the rebuilt view shares the same cached subtrees the
                original did. *)
-            let view = View.create ~cache db algebra in
-            Obs.Metrics.incr m_bootstrap_evals;
-            let marginals = Core.Marginals.create () in
-            Core.Marginals.observe marginals (View.result view);
-            add { id; name; view; marginals };
-            next_id := Int.max !next_id (id + 1);
+            add_query t ~id ~name algebra;
+            t.next_id <- Int.max t.next_id (id + 1);
             Obs.Metrics.incr m_replay
           end
       | Unregister { id } ->
           if event_live () then begin
-            (match IT.find_opt entries id with
-            | Some e ->
-                IT.remove entries id;
-                rev_order := List.filter (fun i -> not (Int.equal i id)) !rev_order;
-                View.release cache e.view
-            | None -> ());
+            (* Registry.unregister raises on the same input, so the log
+               cannot hold it. *)
+            if not (Core.Sampler.mem t.sampler id) then
+              corrupt "WAL unregisters query id %d, which is not registered" id;
+            ignore (remove_query t id : Core.Marginals.t);
             Obs.Metrics.incr m_replay
           end
-      | Absorb { delta } ->
-          if event_live () then begin
-            fan_out delta ~observe:false;
-            Obs.Metrics.incr m_replay
-          end)
+      | Absorb { delta } -> if event_live () then replay delta ~observe:false)
     records;
   let pdb = make_pdb db in
-  if Core.Pdb.db pdb != db then
-    invalid_arg "Serve.Registry.restore_wal: make_pdb must build over the restored database";
   (* The chain resumes from the last replayed sample when there is one,
      else from the snapshot point. *)
   (match !last_sample with
@@ -424,10 +347,10 @@ let restore_wal ~make_pdb snap ~base_samples ~records =
       Core.Pdb.restore_counters pdb ~steps:snap.Checkpoint.State.steps
         ~proposed:snap.Checkpoint.State.proposed
         ~accepted:snap.Checkpoint.State.accepted);
-  ignore (Core.World.drain_delta (Core.Pdb.world pdb) : Delta.t);
-  let t =
-    { pdb; entries; rev_order = !rev_order; cache; next_id = !next_id; samples = !samples;
-      journal = None }
-  in
+  (* Raises Invalid_argument when make_pdb ignored its database. *)
+  Core.Sampler.attach t.sampler pdb;
   record_queries t;
   t
+
+let restore ~make_pdb snap =
+  restore_wal ~make_pdb snap ~base_samples:snap.Checkpoint.State.samples ~records:[]

@@ -32,12 +32,17 @@
     [Register] record and the snapshot carry, making replay and restore
     deterministic and cache-key-compatible with the original run.
 
-    Estimates are sample-path identical to running {!Core.Evaluator} per
-    query on an identically seeded chain: both observe the initial world
-    once and then each of the [samples] walked worlds (the test suite
-    pins this equality down). Metrics: [serve.queries],
-    [serve.fanout_ns], [serve.bootstrap_evals], [serve.samples],
-    [serve.shared_nodes], [serve.dedup_hits] (docs/OBSERVABILITY.md). *)
+    The sample loop itself is {!Core.Sampler}'s, one answer per query
+    keyed by query id; the registry adds names, the optimizer, the WAL
+    journal and snapshots. Estimates are therefore sample-path identical
+    to running {!Core.Evaluator} per query on an identically seeded
+    chain: both observe the initial world once and then each of the
+    [samples] walked worlds (the test suite pins this equality down).
+    Metrics: [serve.queries], [serve.fanout_ns] (the sampler's fold time
+    per step: view maintenance plus marginals observation, no walk),
+    [serve.bootstrap_evals], [serve.samples], [serve.shared_nodes],
+    [serve.dedup_hits] (docs/OBSERVABILITY.md), plus the sampler's
+    [eval.*] counters. *)
 
 type t
 
@@ -125,7 +130,8 @@ val restore : make_pdb:(Relational.Database.t -> Core.Pdb.t) -> Checkpoint.State
     overwritten with the snapshot's. Performs no query evaluation
     ([serve.bootstrap_evals] does not move). Raises [Invalid_argument] if
     [make_pdb] ignores its database argument, and [Checkpoint.Codec.Corrupt]
-    if the snapshot is internally inconsistent. *)
+    if the snapshot is internally inconsistent (e.g. one query id twice).
+    Equivalent to {!restore_wal} with an empty log. *)
 
 (** {1 Delta-log durability} (see {!Checkpoint.Wal}, {!Durable},
     docs/DURABILITY.md)
@@ -165,4 +171,7 @@ val restore_wal :
     of the snapshot and are skipped. Increments [wal.replay_records]
     per applied record. Raises {!Checkpoint.Codec.Corrupt} when
     [base_samples] is ahead of the snapshot (a state compaction's
-    write ordering makes impossible on an undamaged directory). *)
+    write ordering makes impossible on an undamaged directory), and
+    when an applied [Register] names an id that is already registered
+    or an applied [Unregister] one that is not — events the live
+    registry cannot have journaled. *)

@@ -7,17 +7,10 @@ let m_merge_ns = Obs.Metrics.counter "shard.merge_ns"
 let evaluate ?(burn_in = 0) ~shards ~make ~queries ~thin ~samples () =
   if shards < 1 then invalid_arg "Serve.Shard: shards must be >= 1";
   Obs.Metrics.set_gauge m_count (float_of_int shards);
-  let run i =
-    let pdb = make ~shard:i in
-    if burn_in > 0 then Core.Pdb.walk pdb ~steps:burn_in;
-    let reg = Registry.create pdb in
-    List.iter
-      (fun (name, q) -> ignore (Registry.register ~name reg q : Registry.query_id))
-      queries;
-    Registry.run reg ~thin ~samples;
-    reg
+  let per_shard =
+    Mcmc.Parallel.map ~n:shards (fun i ->
+        Pool.run_chain ~burn_in ~queries ~thin ~samples (make ~shard:i))
   in
-  let per_shard = Mcmc.Parallel.map ~n:shards run in
   (* Keyed by query name, like Pool's cross-chain merge: a shard missing a
      query raises instead of silently pairing the wrong marginals. *)
   let by_name = List.map (Merge_keyed.marginals_by_name ~who:"Serve.Shard") per_shard in

@@ -210,6 +210,16 @@ let test_snapshot_file_corruption_detected () =
   | _ -> Alcotest.fail "bit flip in snapshot file went undetected"
   | exception Codec.Corrupt _ -> ()
 
+(* make_pdb must build over the database it is handed: a chain over any
+   other database would walk a world the restored views never see. *)
+let test_restore_rejects_foreign_pdb () =
+  let reg = make_registry ~seed:95 () in
+  Serve.Registry.run reg ~thin:3 ~samples:2;
+  let snap = Serve.Registry.snapshot reg in
+  match Serve.Registry.restore ~make_pdb:(fun _ -> build_pdb ~seed:95 ()) snap with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a chain over a foreign database was accepted"
+
 let test_restore_db_shape () =
   let db = small_db ~n_items:4 ~coloring:0b0101 () in
   Table.create_index (Database.table db "ITEM") "color";
@@ -775,6 +785,51 @@ let test_wal_register_replay () =
     (Serve.Registry.marginals reg_a a1)
     (Serve.Registry.marginals reg_b' b1)
 
+(* A log whose events contradict the registered set is damaged: a
+   Register of an id that is already live (replaying it would maintain and
+   observe that query twice per sample) or an Unregister of an id that is
+   not live (the live Registry.unregister raises on it). Both logs are
+   written by hand through Checkpoint.Wal and must fail replay with
+   Codec.Corrupt. *)
+let test_wal_replay_rejects_inconsistent_events () =
+  let dir = fresh_ckpt_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let seed = 4343 in
+  let reg = make_registry ~seed () in
+  Serve.Registry.run reg ~thin:3 ~samples:3;
+  let snap = Serve.Registry.snapshot reg in
+  let live = fst (List.hd (Serve.Registry.queries reg)) in
+  let replay events =
+    let path = Filename.concat dir "events.wal" in
+    let w = Wal.create ~path ~base_samples:snap.Checkpoint.State.samples ~fsync_every:0 in
+    List.iter (Wal.append w) events;
+    Wal.close w;
+    let r = Wal.recover ~path in
+    Serve.Registry.restore_wal
+      ~make_pdb:(fun db -> pdb_over_db ~n_items:4 ~seed db)
+      snap ~base_samples:r.Wal.base_samples ~records:r.Wal.records
+  in
+  (* The well-formed twin of each log replays fine. *)
+  let ok =
+    replay
+      [ Wal.Unregister { id = Serve.Registry.id_to_int live };
+        Wal.Register { id = 50; name = "late"; algebra = Sql.parse join_sql } ]
+  in
+  Alcotest.(check int) "well-formed events replayed" (List.length test_queries)
+    (Serve.Registry.query_count ok);
+  let expect_corrupt what events =
+    match replay events with
+    | exception Codec.Corrupt _ -> ()
+    | _ -> Alcotest.failf "%s was replayed instead of rejected" what
+  in
+  expect_corrupt "a Register of a live id"
+    [ Wal.Register
+        { id = Serve.Registry.id_to_int live; name = "dup"; algebra = Sql.parse join_sql } ];
+  expect_corrupt "an Unregister of an id never registered" [ Wal.Unregister { id = 99 } ];
+  expect_corrupt "a second Unregister of one id"
+    [ Wal.Unregister { id = Serve.Registry.id_to_int live };
+      Wal.Unregister { id = Serve.Registry.id_to_int live } ]
+
 (* The point of the log: per-sample durable bytes are small against the
    snapshot the old path rewrote every period (the paper's |Δ| ≪ |D|,
    applied to disk). The paper-scale version of this assertion lives in
@@ -918,7 +973,9 @@ let () =
          Alcotest.test_case "restore-continues-stream" `Quick test_restore_continues_stream;
          Alcotest.test_case "file-corruption-detected" `Quick
            test_snapshot_file_corruption_detected;
-         Alcotest.test_case "restore-db-shape" `Quick test_restore_db_shape ]);
+         Alcotest.test_case "restore-db-shape" `Quick test_restore_db_shape;
+         Alcotest.test_case "restore-rejects-foreign-pdb" `Quick
+           test_restore_rejects_foreign_pdb ]);
       ("failpoint",
        [ Alcotest.test_case "one-shot" `Quick test_failpoint_one_shot;
          Alcotest.test_case "env-spec" `Quick test_failpoint_env ]);
@@ -942,5 +999,7 @@ let () =
          Alcotest.test_case "resume-previous-process" `Quick
            test_wal_resume_previous_process;
          Alcotest.test_case "register-replay" `Quick test_wal_register_replay;
+         Alcotest.test_case "replay-rejects-inconsistent-events" `Quick
+           test_wal_replay_rejects_inconsistent_events;
          Alcotest.test_case "write-amplification" `Quick test_wal_write_amplification;
          Alcotest.test_case "doc-matches-codec" `Quick test_wal_doc_matches_codec ]) ]

@@ -410,6 +410,48 @@ let test_adaptive_evaluator () =
      the floor rather than grow it. *)
   Alcotest.(check bool) "cheap queries shrink k" true (rep.final_thin <= 1_000)
 
+(* Top-k's stopping rule rides the materialized sample path: after
+   [samples_used] samples its ranking is exactly the top-k of a plain
+   materialized run of that many samples on an identically seeded chain. *)
+let test_topk_matches_evaluator () =
+  List.iter
+    (fun (seed, k) ->
+      let _, _, pdb = build_graph_pdb ~seed () in
+      let res = Topk_eval.evaluate pdb ~query:query_blue ~k ~thin:7 in
+      let _, _, pdb' = build_graph_pdb ~seed () in
+      let m =
+        Evaluator.evaluate Evaluator.Materialized pdb' ~query:query_blue ~thin:7
+          ~samples:res.Topk_eval.samples_used
+      in
+      let expected = Confidence.top_k m k in
+      Alcotest.(check int) "ranking length" (List.length expected) (List.length res.ranking);
+      List.iter2
+        (fun (ra, pa) (rb, pb) ->
+          Alcotest.(check bool) "same row" true (Row.equal ra rb);
+          Alcotest.(check (float 0.)) "same probability" pa pb)
+        expected res.ranking)
+    [ (91, 2); (17, 1); (5, 3) ]
+
+(* With k pinned to one value the controller never re-tunes, so Adaptive
+   walks exactly Evaluator's sample path: bit-identical counts. *)
+let test_adaptive_pinned_matches_evaluator () =
+  List.iter
+    (fun strategy ->
+      let _, _, pdb = build_graph_pdb ~seed:94 () in
+      let rep =
+        Adaptive.evaluate ~strategy ~k_min:7 ~k_max:7 ~initial_thin:7 pdb ~query:query_blue
+          ~samples:80
+      in
+      let _, _, pdb' = build_graph_pdb ~seed:94 () in
+      let m = Evaluator.evaluate strategy pdb' ~query:query_blue ~thin:7 ~samples:80 in
+      Alcotest.(check int) "final thin" 7 rep.Adaptive.final_thin;
+      Alcotest.(check int) "samples" (Marginals.samples m) (Marginals.samples rep.marginals);
+      Alcotest.(check bool) "counts bit-identical" true
+        (List.equal
+           (fun (ra, ca) (rb, cb) -> Row.equal ra rb && Int.equal ca cb)
+           (Marginals.counts m) (Marginals.counts rep.marginals)))
+    [ Evaluator.Materialized; Evaluator.Naive ]
+
 let () =
   Alcotest.run "core"
     [ ("world",
@@ -440,7 +482,10 @@ let () =
          Alcotest.test_case "coverage" `Quick test_confidence_interval_covers;
          Alcotest.test_case "top-k" `Quick test_top_k ]);
       ("parallel", [ Alcotest.test_case "pooled" `Quick test_parallel_eval ]);
-      ("adaptive", [ Alcotest.test_case "controller" `Quick test_adaptive_evaluator ]);
+      ( "adaptive",
+        [ Alcotest.test_case "controller" `Quick test_adaptive_evaluator;
+          Alcotest.test_case "pinned=evaluator" `Quick test_adaptive_pinned_matches_evaluator ] );
       ("top-k-eval",
        [ Alcotest.test_case "basic" `Quick test_topk_eval;
-         Alcotest.test_case "early-stop" `Quick test_topk_eval_early_stop ]) ]
+         Alcotest.test_case "early-stop" `Quick test_topk_eval_early_stop;
+         Alcotest.test_case "matches-evaluator" `Quick test_topk_matches_evaluator ]) ]

@@ -1,6 +1,6 @@
 (* Tests for the MCMC library: reproducible RNG, MH correctness against
-   exact marginals, Gibbs proposals, chains with thinning, SampleRank
-   learning, parallel execution, and diagnostics. *)
+   exact marginals, Gibbs proposals, SampleRank learning, parallel
+   execution, and diagnostics. *)
 
 open Factorgraph
 open Mcmc
@@ -122,19 +122,6 @@ let test_restricted_vars_proposal () =
   (* Only allow flips of x: y must never change. *)
   Metropolis.run rng (Graph_model.flip ~vars:[| x |] ()) world ~steps:500;
   Alcotest.(check int) "y untouched" 0 (Assignment.get world.assignment y)
-
-(* ------------------------------------------------------------------ *)
-(* Chain *)
-
-let test_chain_thinning () =
-  let g, _, _ = two_var_graph () in
-  let world = Graph_model.world_of g in
-  let chain = Chain.create ~rng:(Rng.create 7) ~proposal:(Graph_model.flip ()) world in
-  let observed = ref 0 in
-  Chain.sample chain ~thin:10 ~samples:25 (fun _ -> incr observed);
-  Alcotest.(check int) "callback count" 25 !observed;
-  Alcotest.(check int) "total steps" 250 (Chain.steps_taken chain);
-  Alcotest.(check bool) "acceptance tracked" true (Chain.acceptance_rate chain > 0.)
 
 (* ------------------------------------------------------------------ *)
 (* SampleRank: learn to label tokens from a lexicon-free truth signal. *)
@@ -299,36 +286,6 @@ let test_diagnostics_squared_error () =
   feq "sq err" 5. (Diagnostics.squared_error [| 0.; 1. |] [| 1.; 3. |])
 
 
-(* ------------------------------------------------------------------ *)
-(* Annealing *)
-
-let test_annealing_finds_map () =
-  (* A strongly coupled chain whose MAP is all-true; annealing should land
-     there from the all-false start. *)
-  let g = Graph.create () in
-  let d = Domain.boolean in
-  let vars = Array.init 6 (fun _ -> Graph.add_variable g d) in
-  Array.iter (fun v -> ignore (Graph.add_table_factor g ~scope:[| v |] [| 0.; 0.4 |])) vars;
-  for i = 0 to 4 do
-    ignore (Graph.add_table_factor g ~scope:[| vars.(i); vars.(i + 1) |] [| 1.; 0.; 0.; 1. |])
-  done;
-  let world = Graph_model.world_of g in
-  let rng = Rng.create 77 in
-  Annealing.run ~schedule:(Annealing.geometric_schedule ~t0:2. ~alpha:0.999) rng
-    (Graph_model.flip ()) world ~steps:8_000;
-  Array.iter
-    (fun v -> Alcotest.(check int) "annealed to MAP" 1 (Assignment.get world.assignment v))
-    vars
-
-let test_annealing_schedules () =
-  Alcotest.(check bool) "geometric decreasing" true
-    (Annealing.geometric_schedule ~t0:2. ~alpha:0.9 10
-    < Annealing.geometric_schedule ~t0:2. ~alpha:0.9 1);
-  Alcotest.(check bool) "linear floor" true (Annealing.linear_schedule ~t0:1. ~steps:10 20 > 0.);
-  Alcotest.(check bool) "geometric floor" true
-    (Annealing.geometric_schedule ~t0:1. ~alpha:0.1 1000 > 0.)
-
-
 let test_gelman_rubin () =
   let rand = Prng.of_seeds [| 12 |] in
   let noise () = Array.init 500 (fun _ -> Prng.float rand 1.) in
@@ -356,7 +313,6 @@ let () =
          Alcotest.test_case "gibbs-accepts" `Quick test_gibbs_always_accepts;
          Alcotest.test_case "mixture" `Slow test_mix_proposal;
          Alcotest.test_case "restricted-vars" `Quick test_restricted_vars_proposal ]);
-      ("chain", [ Alcotest.test_case "thinning" `Quick test_chain_thinning ]);
       ("samplerank", [ Alcotest.test_case "learns" `Slow test_samplerank_learns ]);
       ("parallel",
        [ Alcotest.test_case "map-order" `Quick test_parallel_map_order;
@@ -365,9 +321,6 @@ let () =
          Alcotest.test_case "poison-job" `Quick test_parallel_map_poison_job;
          Alcotest.test_case "failure-stops-siblings" `Quick test_parallel_map_stops_siblings;
          Alcotest.test_case "chains-reduce-error" `Slow test_parallel_chains_reduce_error ]);
-      ("annealing",
-       [ Alcotest.test_case "finds-map" `Quick test_annealing_finds_map;
-         Alcotest.test_case "schedules" `Quick test_annealing_schedules ]);
       ("diagnostics",
        [ Alcotest.test_case "basics" `Quick test_diagnostics_basics;
          Alcotest.test_case "ess" `Quick test_diagnostics_ess;

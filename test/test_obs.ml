@@ -250,6 +250,12 @@ let test_delta_rows_much_smaller_than_table () =
   Alcotest.(check int) "one maintenance per sample" samples maintains;
   Alcotest.(check bool) "deltas flowed" true (delta_rows > 0);
   Alcotest.(check bool) "table size recorded" true (table_rows > 1_000.);
+  (* One folded batch per sample: the derived average is per batch. *)
+  (match List.assoc_opt "eval.avg_delta_rows" (Obs.Snapshot.derived Obs.Metrics.global) with
+  | Some avg ->
+    Alcotest.(check (float 1e-9)) "derived avg per batch"
+      (float_of_int delta_rows /. float_of_int samples) avg
+  | None -> Alcotest.fail "eval.avg_delta_rows not derived");
   let avg_delta = float_of_int delta_rows /. float_of_int maintains in
   Alcotest.(check bool)
     (Printf.sprintf "avg delta %.1f rows ≪ table %.0f rows" avg_delta table_rows)

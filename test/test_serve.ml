@@ -191,6 +191,40 @@ let test_serve_metrics () =
   | Some (Obs.Metrics.Gauge g) -> Alcotest.(check (float 1e-9)) "gauge follows unregister" 1. g
   | _ -> Alcotest.fail "serve.queries missing"
 
+(* Registry steps run on Core.Sampler, so they feed the eval.* counters;
+   serve.fanout_ns spans only the fold (view maintenance plus marginals
+   observation), never the walk: fan-out and walk time fit together in
+   the wall time of the run, and the fan-out contains the maintenance. *)
+let test_registry_sampler_metrics () =
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) @@ fun () ->
+  let c name =
+    match Obs.Metrics.find Obs.Metrics.global name with
+    | Some (Obs.Metrics.Counter n) -> n
+    | _ -> 0
+  in
+  let names =
+    [ "eval.samples"; "eval.maintain_count"; "eval.maintain_ns"; "eval.walk_ns";
+      "serve.fanout_ns" ]
+  in
+  let reg = Serve.Registry.create (build_pdb ~seed:43 ()) in
+  List.iter
+    (fun sql -> ignore (Serve.Registry.register_sql reg sql : Serve.Registry.query_id))
+    [ List.nth test_queries 0; List.nth test_queries 1 ];
+  let before = List.map c names in
+  let t0 = Obs.Timer.start () in
+  Serve.Registry.run reg ~thin:50 ~samples:7;
+  let wall = Obs.Timer.elapsed_ns t0 in
+  let d = List.map2 (fun name b -> (name, c name - b)) names before in
+  Alcotest.(check int) "one observed sample point per step" 7 (List.assoc "eval.samples" d);
+  Alcotest.(check int) "one maintenance per view per step" 14
+    (List.assoc "eval.maintain_count" d);
+  let fanout = List.assoc "serve.fanout_ns" d and walk = List.assoc "eval.walk_ns" d in
+  Alcotest.(check bool) "walk timed" true (walk > 0);
+  Alcotest.(check bool) "fan-out contains the maintenance" true
+    (fanout >= List.assoc "eval.maintain_ns" d);
+  Alcotest.(check bool) "fan-out excludes the walk" true (fanout + walk <= wall)
+
 (* ------------------------------------------------------------------ *)
 (* Sharded serving (Serve.Shard over Ie.Sharding partitions) *)
 
@@ -514,4 +548,6 @@ let () =
       ("shard",
        [ Alcotest.test_case "bit-identical-union" `Quick test_shard_bit_identical;
          Alcotest.test_case "bounded-divergence" `Quick test_shard_bounded_divergence ]);
-      ("metrics", [ Alcotest.test_case "serve-metrics" `Quick test_serve_metrics ]) ]
+      ( "metrics",
+        [ Alcotest.test_case "serve-metrics" `Quick test_serve_metrics;
+          Alcotest.test_case "sampler-metrics" `Quick test_registry_sampler_metrics ] ) ]

@@ -26,8 +26,11 @@
      R9 rng-discipline    Random.* outside lib/prng/prng.ml (Mcmc.Rng's engine)
      R10 ambient-env      Sys.getenv/Unix.getenv/Sys.argv outside bin/ and the
                           failpoint shim
+     R11 one-sample-loop  World.drain_delta outside lib/core/sampler.ml (and
+                          World itself) in lib/, bench/, bin/ — with every
+                          Pdb.walk in the same file: a hand-rolled sample loop
 
-   R1–R7 are per-expression and syntactic. R8–R10 run as a second,
+   R1–R7 and R11 are per-expression and syntactic. R8–R10 run as a second,
    interprocedural phase: Callgraph collects module-qualified decls over
    every parsed implementation, Effects computes per-function effect
    summaries to a fixpoint and taint-checks flows into serialization
@@ -49,7 +52,7 @@ open Ppxlib
 (* ------------------------------------------------------------------ *)
 
 type rule = {
-  id : string;  (** machine-readable, "R1".."R7" *)
+  id : string;  (** machine-readable, "R1".."R11" *)
   rname : string;  (** kebab-case name, accepted in allowlist comments *)
   hint : string;  (** one-line fix hint, shown with every violation *)
   blurb : string;  (** one-line rationale for --list-rules *)
@@ -144,6 +147,16 @@ let rules =
         "library behavior must be a function of its arguments: ambient \
          Sys.getenv/Sys.argv reads make identical calls behave differently \
          across hosts and make the library untestable";
+    };
+    { id = "R11";
+      rname = "one-sample-loop";
+      hint =
+        "drive the chain through Core.Sampler (step/absorb/fold), or put an \
+         allow-file comment saying why this file needs its own loop";
+      blurb =
+        "walk, drain, fold and observe is one loop (Algorithm 1); a copy \
+         that drains the world's delta itself carries its own timing, \
+         metrics and trace calls and drifts from the sampler's";
     }
   ]
 
@@ -210,7 +223,7 @@ let r1_dirs = [ "lib/relational"; "lib/mcmc"; "lib/serve"; "lib/checkpoint" ]
    Csv_io load — stay out of scope. *)
 let r7_files =
   [ "lib/relational/col_store.ml"; "lib/relational/view.ml"; "lib/relational/key_index.ml";
-    "lib/ie/crf.ml"; "lib/ie/proposals.ml"; "lib/core/world.ml" ]
+    "lib/ie/crf.ml"; "lib/ie/proposals.ml"; "lib/core/world.ml"; "lib/core/sampler.ml" ]
 
 let r7_dirs = [ "lib/serve"; "lib/mcmc" ]
 let r2_exempt_file = "lib/obs/timer.ml"
@@ -227,6 +240,10 @@ let under_any dirs path = List.exists (fun d -> under d path) dirs
 (* R6 collects producer sites from the shipping tree only: test/ interns
    throwaway names into private registries on purpose. *)
 let r6_dirs = [ "lib"; "bin"; "bench" ]
+
+(* R11 scope: the shipping tree, minus the sample loop itself and the
+   modules that define the two calls. *)
+let r11_exempt_files = [ "lib/core/sampler.ml"; "lib/core/world.ml"; "lib/core/pdb.ml" ]
 
 (* ------------------------------------------------------------------ *)
 (* File discovery                                                     *)
@@ -552,6 +569,10 @@ let check_structure ~rel str =
   let r2_on = not (String.equal rel r2_exempt_file) in
   let r3_on = under "lib" rel || under "tools" rel in
   let r6_on = under_any r6_dirs rel in
+  let r11_on =
+    under_any r6_dirs rel && not (List.exists (fun f -> String.equal f rel) r11_exempt_files)
+  in
+  let drains = ref [] and walks = ref [] in
   let local_compare = defines_toplevel_compare str in
   let violations = ref [] and metrics = ref [] in
   let add rule loc msg = violations := violation ~rule ~file:rel ~loc msg :: !violations in
@@ -645,12 +666,27 @@ let check_structure ~rel str =
             when r3_on ->
             add (rule_exn "R3") loc "library code printing directly to stdout/stderr"
           | "Obj" :: _ :: _ -> add (rule_exn "R5") loc "use of Obj.*"
+          | [ "World"; "drain_delta" ] | [ "Core"; "World"; "drain_delta" ] when r11_on ->
+            drains := loc :: !drains
+          | [ "Pdb"; "walk" ] | [ "Core"; "Pdb"; "walk" ] when r11_on -> walks := loc :: !walks
           | _ -> ())
         | _ -> ());
         super#expression e
     end
   in
   it#structure str;
+  (* A file that drains the delta runs its own sample loop: report the
+     drains and the walks whose deltas they collect. Walking alone (a
+     burn-in) is fine — the next sampler drain discards or folds it. *)
+  if !drains <> [] then begin
+    List.iter
+      (fun loc -> add (rule_exn "R11") loc "World.drain_delta outside Core.Sampler")
+      !drains;
+    List.iter
+      (fun loc ->
+        add (rule_exn "R11") loc "Pdb.walk in a file that drains the delta itself")
+      !walks
+  end;
   { fr_violations = !violations; fr_metrics = !metrics }
 
 (* ------------------------------------------------------------------ *)

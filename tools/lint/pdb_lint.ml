@@ -118,7 +118,13 @@ let seeds =
        '*' and reported it as not statically analyzable). *)
     ( "lib/relational/seed_r6_sprintf.ml",
       "R6",
-      "let m op = Obs.Metrics.counter (Printf.sprintf \"seed.sprintf.%s.missing\" op)\n" )
+      "let m op = Obs.Metrics.counter (Printf.sprintf \"seed.sprintf.%s.missing\" op)\n" );
+    (* A hand-rolled sample loop: both the drain and the walk fire. *)
+    ( "bench/seed_r11.ml",
+      "R11",
+      "let sample pdb world =\n\
+      \  Core.Pdb.walk pdb ~steps:10;\n\
+      \  Core.World.drain_delta world\n" )
   ]
 
 (* Fixtures that must produce NO violations: sanitizer recognition, the
@@ -141,6 +147,10 @@ let clean_seeds =
     ("bin/seed_cli.ml", "let port () = Sys.getenv_opt \"PDB_PORT\"\n");
     ( "lib/checkpoint/failpoint.ml",
       "let enabled () = Sys.getenv_opt \"PDB_FAILPOINT\" <> None\n" );
+    (* R11: a burn-in walk with no drain, and the sampler itself. *)
+    ("lib/serve/seed_r11_burn_in.ml", "let burn pdb = Core.Pdb.walk pdb ~steps:10\n");
+    ( "lib/core/sampler.ml",
+      "let step pdb world =\n  Pdb.walk pdb ~steps:10;\n  World.drain_delta world\n" );
     (* sprintf-built name matching the catalogued seed.dyn.<op>.rows. *)
     ( "lib/relational/seed_r6_dyn.ml",
       "let m op = Obs.Metrics.counter (Printf.sprintf \"seed.dyn.%s.rows\" op)\n" )
@@ -231,6 +241,10 @@ let self_test () =
     [ ("lib/checkpoint/seed_r8_helper.ml", "R8");
       ("lib/mcmc/seed_r9_helper.ml", "R9");
       ("lib/serve/seed_r10_helper.ml", "R10") ];
+  (* R11 reports the walk as well as the drain *)
+  (let loop = by_file "bench/seed_r11.ml" in
+   if not (Int.equal (List.length loop) 2) then
+     fail "seed_r11: expected 2 R11 violations (walk and drain), got %d" (List.length loop));
   (* sanitized/sanctioned fixtures stay perfectly silent *)
   List.iter
     (fun (rel, _) ->
@@ -269,7 +283,7 @@ let self_test () =
   rm_rf root;
   Printf.printf "pdb_lint --self-test: OK (%d seeded violations caught across %d rules)\n"
     (List.length run.Lint_engine.violations)
-    (List.length seeds);
+    (List.length (List.sort_uniq String.compare (List.map (fun (_, rule, _) -> rule) seeds)));
   exit 0
 
 (* ------------------------------------------------------------------ *)
